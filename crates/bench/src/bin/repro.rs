@@ -395,10 +395,16 @@ fn print_campaign_report(report: &CampaignReport, out: &OutputDir) {
 /// checked-in campaign spec.
 fn run_spec_file(args: &Args) {
     let path = args.spec.as_ref().expect("validated in parse_args");
-    let text =
-        std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read spec {path}: {e}"));
-    let mut spec =
-        ExperimentSpec::from_json_str(&text).unwrap_or_else(|e| panic!("bad spec {path}: {e}"));
+    // An unreadable or invalid spec is a user error: report it and exit
+    // non-zero without a panic backtrace.
+    let fail = |msg: String| -> ! {
+        eprintln!("error: {msg}");
+        std::process::exit(1)
+    };
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| fail(format!("cannot read spec {path}: {e}")));
+    let mut spec = ExperimentSpec::from_json_str(&text)
+        .unwrap_or_else(|e| fail(format!("bad spec {path}: {e}")));
     if args.smoke {
         spec.explore.max_steps = spec.explore.max_steps.min(150);
         spec.seeds.count = spec.seeds.count.min(2);

@@ -1,4 +1,5 @@
-//! The exact, interpreter-backed evaluation backend.
+//! The exact evaluation backend: runs designs on the compiled engine (or
+//! the reference interpreter) against the precise reference.
 
 use super::cache::{CacheScope, SharedCache};
 use super::{EvalBackend, EvalMetrics};
@@ -6,13 +7,13 @@ use crate::config::{AxConfig, SpaceDims};
 use ax_operators::metrics::{mae, signed_mean_error};
 use ax_operators::OperatorLibrary;
 use ax_telemetry::Telemetry;
-use ax_vm::compile::{CompiledProgram, CompiledSkeleton};
+use ax_vm::compile::{CompiledProgram, CompiledSkeleton, OutcomeKey};
 use ax_vm::exec::{run_from_image, Binding, ExecScratch};
 use ax_vm::instrument::VarMask;
 use ax_vm::VmError;
 use ax_workloads::{PreparedWorkload, Workload};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 /// Which execution engine [`Evaluator`]s spawned from an [`EvalContext`]
 /// run cache-missing designs on. Both engines are bit-identical in outputs
@@ -37,8 +38,8 @@ pub enum ExecEngine {
 /// and the operator library behind `Arc`s, plus (optionally) a
 /// [`SharedCache`] scope. Cloning it and calling [`EvalContext::evaluator`]
 /// on each worker thread is how sweeps fan out: every evaluator shares the
-/// preparation work and the design cache, while keeping its own scratch
-/// buffers and local memo table.
+/// preparation work, the design cache and the compiled engine's outcome
+/// memo, while keeping its own scratch buffers and local memo table.
 #[derive(Debug, Clone)]
 pub struct EvalContext {
     benchmark: String,
@@ -53,6 +54,11 @@ pub struct EvalContext {
     /// The program's offset-resolved threaded-code skeleton, built once per
     /// context and shared by every spawned evaluator's compiled engine.
     skeleton: Arc<CompiledSkeleton>,
+    /// The compiled engine's execution-equivalence memo: metrics of every
+    /// executed design, keyed by [`CompiledSkeleton::outcome_key`], so a
+    /// design equivalent to one any evaluator of this context already ran
+    /// is answered without a VM run. Fresh per context build.
+    memo: Arc<RwLock<HashMap<OutcomeKey, EvalMetrics>>>,
     engine: ExecEngine,
     precise_outputs: Arc<Vec<f64>>,
     precise_power: f64,
@@ -137,6 +143,7 @@ impl EvalContext {
             },
             base_image: Arc::new(base_image),
             skeleton,
+            memo: Arc::default(),
             engine: ExecEngine::default(),
             precise_outputs: Arc::new(precise_outputs),
             precise_power: reference.profile.power_mw,
@@ -175,9 +182,10 @@ impl EvalContext {
     }
 
     /// This context reporting through `telemetry` (a cheap shared handle):
-    /// evaluators spawned afterwards record per-execution latency in the
-    /// `exec.latency_ns` histogram. The default is
-    /// [`Telemetry::disabled`], which costs one branch per execution.
+    /// evaluators spawned afterwards record the latency of every real VM run
+    /// in the `exec.latency_ns` histogram (outcome-memo answers are not VM
+    /// runs). The default is [`Telemetry::disabled`], which costs one
+    /// branch per execution.
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: &Telemetry) -> Self {
         self.telemetry = telemetry.clone();
@@ -223,9 +231,9 @@ impl EvalContext {
     }
 }
 
-/// The exact evaluation backend: runs configurations of one benchmark
-/// through the instrumented interpreter against the precise reference,
-/// memoising by configuration.
+/// The exact evaluation backend: runs configurations of one benchmark on
+/// the context's [`ExecEngine`] against the precise reference, memoising by
+/// configuration.
 #[derive(Debug)]
 pub struct Evaluator {
     ctx: EvalContext,
@@ -279,7 +287,10 @@ impl Evaluator {
         self.shared_hits
     }
 
-    /// Number of actual interpreter executions this evaluator performed.
+    /// Number of designs this evaluator resolved past both design caches
+    /// (its own and the shared one), whichever engine ran them. On the
+    /// compiled engine some of them are answered by the context's outcome
+    /// memo instead of a VM run; this count includes those.
     pub fn executions(&self) -> u64 {
         self.executions
     }
@@ -291,9 +302,21 @@ impl Evaluator {
     }
 
     fn execute(&mut self, config: &AxConfig) -> Result<EvalMetrics, VmError> {
-        // One branch when telemetry is disabled — the hot path stays free.
-        let started = self.ctx.telemetry.enabled().then(std::time::Instant::now);
         let ctx = &self.ctx;
+        // The interpreter stays the per-design reference: only the compiled
+        // engine answers from the execution-equivalence memo.
+        let key = (ctx.engine == ExecEngine::Compiled).then(|| {
+            ctx.skeleton
+                .outcome_key(config.adder, config.mul, config.vars)
+        });
+        if let Some(key) = &key {
+            if let Some(m) = ctx.memo.read().expect("outcome memo poisoned").get(key) {
+                self.executions += 1;
+                return Ok(*m);
+            }
+        }
+        // One branch when telemetry is disabled — the hot path stays free.
+        let started = ctx.telemetry.enabled().then(std::time::Instant::now);
         let binding = Binding::new(&ctx.lib, &ctx.prepared.program, config.adder, config.mul)?;
         let outcome = match ctx.engine {
             ExecEngine::Compiled => {
@@ -319,11 +342,17 @@ impl Evaluator {
         };
         self.executions += 1;
         if let Some(t0) = started {
-            self.ctx
-                .telemetry
+            ctx.telemetry
                 .observe("exec.latency_ns", t0.elapsed().as_nanos() as u64);
         }
-        Ok(self.ctx.metrics_from(&outcome))
+        let metrics = ctx.metrics_from(&outcome);
+        if let Some(key) = key {
+            ctx.memo
+                .write()
+                .expect("outcome memo poisoned")
+                .insert(key, metrics);
+        }
+        Ok(metrics)
     }
 }
 
@@ -387,7 +416,8 @@ impl EvalBackend for Evaluator {
     }
 
     /// Evaluates a configuration (cached: local memo table first, then the
-    /// shared cache, then the interpreter).
+    /// shared cache, then the context's engine — on the compiled engine,
+    /// through the context's outcome memo).
     ///
     /// # Errors
     ///
@@ -422,9 +452,9 @@ impl EvalBackend for Evaluator {
     }
 
     /// Batched evaluation: configurations the caches cannot answer are
-    /// executed (deduplicated) through [`PreparedWorkload::run_batch`],
-    /// which binds inputs once and reuses one set of execution buffers
-    /// across the whole slice.
+    /// deduplicated and executed one by one on the same path as
+    /// [`EvalBackend::evaluate`], reusing the context's base image and this
+    /// evaluator's scratch buffers across the whole slice.
     ///
     /// # Errors
     ///
@@ -435,7 +465,7 @@ impl EvalBackend for Evaluator {
     /// Panics if any configuration is outside this benchmark's space.
     fn evaluate_batch(&mut self, configs: &[AxConfig]) -> Result<Vec<EvalMetrics>, VmError> {
         // Pass 1: answer from the caches, collecting the distinct designs
-        // that actually need the interpreter. The set mirrors `to_run` so
+        // that actually need the engine. The set mirrors `to_run` so
         // dedup stays O(1) per config and duplicate pending designs don't
         // re-query (and re-count misses against) the shared cache.
         let mut to_run: Vec<AxConfig> = Vec::new();
@@ -463,11 +493,7 @@ impl EvalBackend for Evaluator {
             to_run.push(*config);
         }
 
-        // Pass 2: execute the misses through this evaluator's amortised
-        // machinery — the context's precomputed base image plus the
-        // persistent scratch and mask, the same hot path as `evaluate`.
-        // (`PreparedWorkload::run_batch` offers the equivalent stand-alone
-        // entry point for callers without an `EvalContext`.)
+        // Pass 2: execute the misses on the same hot path as `evaluate`.
         for config in &to_run {
             let metrics = self.execute(config)?;
             self.cache.insert(*config, metrics);
@@ -543,6 +569,7 @@ mod tests {
     use super::*;
     use ax_operators::{AdderId, MulId};
     use ax_workloads::dot::DotProduct;
+    use ax_workloads::fir::Fir;
     use ax_workloads::matmul::MatMul;
 
     fn evaluator() -> Evaluator {
@@ -780,6 +807,121 @@ mod tests {
             assert!(cache.len() <= cache.capacity().unwrap());
         }
         assert!(cache.evictions() > 0);
+    }
+
+    /// Every metric field's bit pattern, so `-0.0`/`0.0` and NaNs compare
+    /// exactly.
+    fn metric_bits(m: &EvalMetrics) -> [u64; 6] {
+        [
+            m.delta_acc,
+            m.delta_power,
+            m.delta_time,
+            m.signed_error,
+            m.power,
+            m.time_ns,
+        ]
+        .map(f64::to_bits)
+    }
+
+    /// Runs every configuration of `workload` on `evoapprox-extended`
+    /// through a compiled and an interpreted evaluator, in enumeration
+    /// order or reversed, and requires bit-identical results.
+    fn assert_engines_agree(workload: &dyn Workload, reverse: bool) {
+        let lib = Arc::new(OperatorLibrary::evoapprox_extended());
+        let ctx = EvalContext::new(workload, Arc::clone(&lib), 5).unwrap();
+        let reference = EvalContext::new(workload, lib, 5)
+            .unwrap()
+            .with_engine(ExecEngine::Interpreter);
+        let mut configs = AxConfig::enumerate(ctx.dims);
+        if reverse {
+            configs.reverse();
+        }
+        let (mut compiled, mut interpreted) = (ctx.evaluator(), reference.evaluator());
+        for c in &configs {
+            match (compiled.evaluate(c), interpreted.evaluate(c)) {
+                (Ok(a), Ok(b)) => assert_eq!(metric_bits(&a), metric_bits(&b), "{c}"),
+                (Err(a), Err(b)) => assert_eq!(a, b, "{c}"),
+                (a, b) => panic!("{c}: engines diverge: {a:?} vs {b:?}"),
+            }
+        }
+        assert_eq!(compiled.executions(), configs.len() as u64);
+        assert_eq!(interpreted.executions(), configs.len() as u64);
+        // The memo collapsed equivalent designs (every empty selection, at
+        // least) onto one VM run each.
+        let runs = ctx.memo.read().unwrap().len();
+        assert!(
+            runs < configs.len(),
+            "{runs} runs for {} designs",
+            configs.len()
+        );
+    }
+
+    #[test]
+    fn compiled_memo_matches_interpreter_on_matmul_forward_and_reverse() {
+        assert_engines_agree(&MatMul::new(4), false);
+        assert_engines_agree(&MatMul::new(4), true);
+    }
+
+    #[test]
+    fn compiled_memo_matches_interpreter_on_fir_forward_and_reverse() {
+        assert_engines_agree(&Fir::new(6), false);
+        assert_engines_agree(&Fir::new(6), true);
+    }
+
+    fn latency_samples(telemetry: &Telemetry) -> u64 {
+        telemetry
+            .snapshot()
+            .unwrap()
+            .histogram("exec.latency_ns")
+            .map_or(0, |h| h.count)
+    }
+
+    #[test]
+    fn evaluators_of_one_context_share_the_outcome_memo() {
+        let telemetry = Telemetry::new();
+        let lib = Arc::new(OperatorLibrary::evoapprox());
+        let ctx = EvalContext::new(&MatMul::new(4), lib, 11)
+            .unwrap()
+            .with_telemetry(&telemetry);
+        // Nothing selected: both designs run precisely, so they share one
+        // outcome key although their operators differ.
+        let c1 = AxConfig {
+            adder: AdderId(2),
+            mul: MulId(3),
+            vars: 0,
+        };
+        let c2 = AxConfig {
+            adder: AdderId(4),
+            mul: MulId(1),
+            vars: 0,
+        };
+        let mut first = ctx.evaluator();
+        let m1 = first.evaluate(&c1).unwrap();
+        let mut second = ctx.evaluator();
+        let m2 = second.evaluate(&c2).unwrap();
+        assert_eq!(metric_bits(&m1), metric_bits(&m2));
+        // Both count as executions; only the first was a VM run.
+        assert_eq!((first.executions(), second.executions()), (1, 1));
+        assert_eq!(latency_samples(&telemetry), 1);
+        assert_eq!(ctx.memo.read().unwrap().len(), 1);
+    }
+
+    #[test]
+    fn interpreter_engine_runs_every_design() {
+        let telemetry = Telemetry::new();
+        let lib = Arc::new(OperatorLibrary::evoapprox());
+        let ctx = EvalContext::new(&MatMul::new(4), lib, 11)
+            .unwrap()
+            .with_engine(ExecEngine::Interpreter)
+            .with_telemetry(&telemetry);
+        let configs = AxConfig::enumerate(ctx.dims);
+        let mut ev = ctx.evaluator();
+        for c in &configs {
+            ev.evaluate(c).unwrap();
+        }
+        assert_eq!(ev.executions(), configs.len() as u64);
+        assert_eq!(latency_samples(&telemetry), ev.executions());
+        assert!(ctx.memo.read().unwrap().is_empty());
     }
 
     #[test]

@@ -95,7 +95,22 @@ impl BenchmarkSpec {
         }
     }
 
+    /// The smallest size the workload's constructor accepts: image
+    /// kernels need a 3×3 window, everything else one element.
+    fn min_size(&self) -> usize {
+        match self {
+            BenchmarkSpec::Conv2d(_) | BenchmarkSpec::Sobel(_) => 3,
+            _ => 1,
+        }
+    }
+
     /// Instantiates the named workload.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the size is below the workload's minimum (3 for `conv2d`
+    /// and `sobel`, 1 otherwise); [`ExperimentSpec::validate`] rejects
+    /// such specs.
     pub fn build(&self) -> Box<dyn Workload> {
         match *self {
             BenchmarkSpec::MatMul(n) => Box::new(MatMul::new(n)),
@@ -864,9 +879,10 @@ impl ExperimentSpec {
     ///
     /// # Errors
     ///
-    /// Fails on an empty benchmark list, empty agent roster, empty seed
-    /// range, zero budget, zero parallelism, zero exploration steps, or a
-    /// budget policy that does not fit the campaign shape (see
+    /// Fails on an empty benchmark list, a benchmark size its workload
+    /// cannot build (see [`BenchmarkSpec::build`]), empty agent roster,
+    /// empty seed range, zero budget, zero parallelism, zero exploration
+    /// steps, or a budget policy that does not fit the campaign shape (see
     /// [`BudgetPolicy::check`]) — an empty seed range or a zero budget
     /// would otherwise make the budget-share scheduler divide the cap over
     /// zero runs, and a degenerate halving policy would divide by zero
@@ -874,6 +890,16 @@ impl ExperimentSpec {
     pub fn validate(&self) -> Result<(), SpecError> {
         if self.benchmarks.is_empty() {
             return Err(SpecError("need at least one benchmark".into()));
+        }
+        for b in &self.benchmarks {
+            if b.size() < b.min_size() {
+                return Err(SpecError(format!(
+                    "benchmark `{}` has size {}, but needs at least {}",
+                    b.kind(),
+                    b.size(),
+                    b.min_size()
+                )));
+            }
         }
         if self.agents.is_empty() {
             return Err(SpecError("need at least one agent".into()));
@@ -1549,6 +1575,45 @@ mod tests {
             .budget(0);
         assert!(zero_budget.validate().is_err());
         assert!(ExperimentSpec::from_json_str("{\"name\": \"empty\"}").is_err());
+    }
+
+    #[test]
+    fn validation_rejects_benchmark_sizes_the_workloads_cannot_build() {
+        let with = |b: BenchmarkSpec| {
+            ExperimentSpec::new("x")
+                .benchmark(b)
+                .agent(AgentKind::QLearning)
+        };
+        let too_small = [
+            BenchmarkSpec::MatMul(0),
+            BenchmarkSpec::Fir(0),
+            BenchmarkSpec::Dot(0),
+            BenchmarkSpec::Dct8(0),
+            BenchmarkSpec::Conv2d(2),
+            BenchmarkSpec::Sobel(2),
+        ];
+        for b in too_small {
+            let err = with(b).validate().unwrap_err();
+            assert!(err.0.contains(b.kind()), "{b:?}: {err}");
+            let json = format!(
+                r#"{{"name": "x", "benchmarks": [{{"kind": "{}", "size": {}}}], "agents": ["q-learning"]}}"#,
+                b.kind(),
+                b.size()
+            );
+            assert!(ExperimentSpec::from_json_str(&json).is_err(), "{json}");
+        }
+        for b in [
+            BenchmarkSpec::MatMul(1),
+            BenchmarkSpec::Fir(1),
+            BenchmarkSpec::Dot(1),
+            BenchmarkSpec::Dct8(1),
+            BenchmarkSpec::Conv2d(3),
+            BenchmarkSpec::Sobel(3),
+        ] {
+            with(b).validate().unwrap();
+            assert_eq!(b.size(), b.min_size());
+            b.build();
+        }
     }
 
     #[test]

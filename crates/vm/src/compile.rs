@@ -45,7 +45,12 @@ use crate::exec::{Binding, ExecOutcome, ExecScratch};
 use crate::ir::{Instr, Program};
 use ax_operators::signed::mul_signed;
 use ax_operators::{AdderId, AdderModel, BitWidth, MulId, MulModel, OperatorLibrary};
+use std::collections::HashMap;
 use std::sync::Arc;
+
+/// What fully determines a design's outcome under one program: see
+/// [`CompiledSkeleton::outcome_key`].
+pub type OutcomeKey = (u64, Option<AdderId>, Option<MulId>);
 
 /// One instruction with operand offsets resolved and its touched-variable
 /// bitmask attached — everything about the instruction that does not depend
@@ -100,6 +105,10 @@ pub struct CompiledSkeleton {
     /// every class identically flag every instruction identically, which
     /// [`CompiledSkeleton::flag_signature`] exploits.
     flag_classes: Vec<u64>,
+    /// Signature bits whose flag class holds at least one addition
+    /// (respectively multiplication).
+    add_classes: u64,
+    mul_classes: u64,
 }
 
 impl CompiledSkeleton {
@@ -171,13 +180,25 @@ impl CompiledSkeleton {
         let output_cells = outputs.iter().map(|&(_, len)| len).sum();
 
         let mut flag_classes: Vec<u64> = Vec::new();
+        let (mut add_classes, mut mul_classes) = (0u64, 0u64);
         for op in &ops {
-            let touched = match *op {
-                SkelOp::Add { touched, .. } | SkelOp::Mul { touched, .. } => touched,
-                _ => 0,
+            let (touched, classes) = match *op {
+                SkelOp::Add { touched, .. } => (touched, &mut add_classes),
+                SkelOp::Mul { touched, .. } => (touched, &mut mul_classes),
+                _ => continue,
             };
-            if touched != 0 && !flag_classes.contains(&touched) {
-                flag_classes.push(touched);
+            if touched == 0 {
+                continue;
+            }
+            let class = match flag_classes.iter().position(|&c| c == touched) {
+                Some(i) => i,
+                None => {
+                    flag_classes.push(touched);
+                    flag_classes.len() - 1
+                }
+            };
+            if class < 64 {
+                *classes |= 1 << class;
             }
         }
 
@@ -191,6 +212,8 @@ impl CompiledSkeleton {
             adds_total,
             muls_total,
             flag_classes,
+            add_classes,
+            mul_classes,
         }
     }
 
@@ -223,6 +246,26 @@ impl CompiledSkeleton {
             .fold(0, |sig, (i, &touched)| {
                 sig | (u64::from(touched & bits != 0) << i)
             })
+    }
+
+    /// The key of the design `(adder, mul, bits)`'s execution-equivalence
+    /// class: designs with equal keys produce bit-identical outcomes,
+    /// outputs *and* profile. The key is the selection's
+    /// [`CompiledSkeleton::flag_signature`] plus each operator only if the
+    /// signature makes some instruction of its kind approximate — an adder
+    /// no addition runs through cannot change the outcome, and likewise a
+    /// multiplier. With more than 64 flag classes the key is the raw
+    /// `(bits, adder, mul)`.
+    pub fn outcome_key(&self, adder: AdderId, mul: MulId, bits: u64) -> OutcomeKey {
+        if self.flag_classes.len() > 64 {
+            return (bits, Some(adder), Some(mul));
+        }
+        let sig = self.flag_signature(bits);
+        (
+            sig,
+            (sig & self.add_classes != 0).then_some(adder),
+            (sig & self.mul_classes != 0).then_some(mul),
+        )
     }
 
     /// Specialises this skeleton to one design. See
@@ -350,11 +393,11 @@ pub struct BatchStats {
     pub designs: u64,
     /// Mask-sharing groups the batches split into.
     pub groups: u64,
-    /// Designs answered by the cross-group `(signature, adder, mul)` cache
-    /// (including within-group duplicates).
+    /// Designs answered by an outcome an earlier group computed (equal
+    /// [`CompiledSkeleton::outcome_key`]).
     pub signature_hits: u64,
-    /// Designs collapsed onto a model-equivalent representative inside the
-    /// factored kernel.
+    /// Designs sharing an outcome key with an earlier design of their own
+    /// group, collapsed before execution.
     pub dedup_hits: u64,
     /// Distinct designs actually executed by the factored kernel.
     pub kernel_designs: u64,
@@ -660,24 +703,22 @@ impl CompiledProgram {
 
     /// Evaluates a whole neighbourhood of designs against one input image,
     /// compiling each design's variant from the shared skeleton in place —
-    /// the batch kernel behind `PreparedWorkload::run_batch` and the exact
-    /// backend's `evaluate_batch`.
+    /// the batch kernel behind `PreparedWorkload::run_batch`.
     ///
     /// Runs of consecutive configurations sharing a variable selection form
     /// a *group*: the opcode rewrite runs once per group (operator swaps are
     /// O(1)), and groups of at least [`MIN_FACTORED_GROUP`] designs execute
-    /// through the factored kernel (`run_group`), which
-    /// runs adder-independent work once per distinct multiplier instead of
-    /// once per design and dedups model-equivalent designs outright. On top
-    /// of that, outcomes are cached across groups keyed by
-    /// `(flag signature, adder, mul)` — selections that flag every
-    /// instruction identically ([`CompiledSkeleton::flag_signature`])
-    /// compile to the same opcode vector, so their designs are evaluated
-    /// once per equivalence class for the whole batch. Callers ordering a
-    /// sweep mask-major therefore pay `distinct signatures` compile passes
-    /// and dramatically fewer instruction executions than `designs ×
-    /// program length`. Results keep the order of `configs` and are
-    /// bit-identical to evaluating each design alone.
+    /// through the factored kernel (`run_group`), which runs
+    /// adder-independent work once per distinct multiplier instead of once
+    /// per design. Designs are evaluated once per
+    /// [`CompiledSkeleton::outcome_key`] for the whole batch: within a group
+    /// that collapses operators the selection never exercises
+    /// approximately, and across groups it shares selections that flag
+    /// every instruction identically. Callers ordering a sweep mask-major
+    /// therefore pay `distinct signatures` compile passes and dramatically
+    /// fewer instruction executions than `designs × program length`.
+    /// Results keep the order of `configs` and are bit-identical to
+    /// evaluating each design alone.
     ///
     /// # Errors
     ///
@@ -696,10 +737,9 @@ impl CompiledProgram {
             designs: configs.len() as u64,
             ..BatchStats::default()
         };
-        // Cross-group equivalence cache: a `(flag signature, adder, mul)`
-        // triple fully determines a design's outcome, so selections that
-        // flag the program identically share evaluations outright.
-        let mut cache: SignatureCache = Vec::new();
+        // Cross-group equivalence cache: designs with equal outcome keys
+        // ([`CompiledSkeleton::outcome_key`]) share one evaluation.
+        let mut cache: HashMap<OutcomeKey, ExecOutcome> = HashMap::new();
         let mut start = 0;
         while start < configs.len() {
             let bits = configs[start].2;
@@ -708,28 +748,25 @@ impl CompiledProgram {
                 end += 1;
             }
             let group = &configs[start..end];
-            let sig = self.skeleton.flag_signature(bits);
-            let entry = match cache.iter().position(|&(s, _)| s == sig) {
-                Some(i) => i,
-                None => {
-                    cache.push((sig, Vec::new()));
-                    cache.len() - 1
-                }
-            };
-            // First occurrences the cache cannot answer, in group order.
+            let keys: Vec<OutcomeKey> = group
+                .iter()
+                .map(|&(adder, mul, _)| self.skeleton.outcome_key(adder, mul, bits))
+                .collect();
+            // One representative per key the cache cannot answer, in group
+            // order.
             let mut missing: Vec<(AdderId, MulId, u64)> = Vec::new();
-            for &(adder, mul, _) in group {
-                let seen = cache[entry]
-                    .1
-                    .iter()
-                    .any(|&((a, m), _)| (a, m) == (adder, mul))
-                    || missing.iter().any(|&(a, m, _)| (a, m) == (adder, mul));
-                if !seen {
+            let mut missing_keys: Vec<OutcomeKey> = Vec::new();
+            for (&(adder, mul, _), &key) in group.iter().zip(&keys) {
+                if cache.contains_key(&key) {
+                    stats.signature_hits += 1;
+                } else if missing_keys.contains(&key) {
+                    stats.dedup_hits += 1;
+                } else {
+                    missing_keys.push(key);
                     missing.push((adder, mul, bits));
                 }
             }
             stats.groups += 1;
-            stats.signature_hits += (group.len() - missing.len()) as u64;
             if !missing.is_empty() {
                 self.select(bits);
                 let factored = if missing.len() >= MIN_FACTORED_GROUP {
@@ -768,19 +805,9 @@ impl CompiledProgram {
                         outs
                     }
                 };
-                let slot = &mut cache[entry].1;
-                for (&(adder, mul, _), out) in missing.iter().zip(results) {
-                    slot.push(((adder, mul), out));
-                }
+                cache.extend(missing_keys.into_iter().zip(results));
             }
-            let slot = &cache[entry].1;
-            for &(adder, mul, _) in group {
-                let (_, out) = slot
-                    .iter()
-                    .find(|&&((a, m), _)| (a, m) == (adder, mul))
-                    .expect("every group design was evaluated above");
-                outcomes.push(out.clone());
-            }
+            outcomes.extend(keys.iter().map(|key| cache[key].clone()));
             start = end;
         }
         self.batch.merge(&stats);
@@ -818,10 +845,8 @@ impl CompiledProgram {
     ///   cells, so the shared stage-1 values are never clobbered and no
     ///   per-design copy is needed.
     ///
-    /// Designs whose effective models coincide (e.g. any operator pair
-    /// under the empty selection, or any adder when no addition is
-    /// approximate) are deduplicated: the outcome — outputs *and* profile —
-    /// is provably identical, so it is computed once and cloned.
+    /// The caller passes one design per outcome key
+    /// ([`CompiledSkeleton::outcome_key`]), so every lane is distinct work.
     ///
     /// # Errors
     ///
@@ -1017,32 +1042,11 @@ impl CompiledProgram {
             .map(|cell| remap[cur[cell] as usize])
             .collect();
 
-        // --- Dedup designs whose effective models coincide (outputs *and*
-        // profile are provably identical), keeping `group` order.
-        let adds_dep = self.counts.adds_approx > 0;
-        let muls_dep = self.counts.muls_approx > 0;
-        let mut memo: Vec<(EffectiveKey, usize)> = Vec::new();
-        let mut uniq: Vec<(AdderId, MulId)> = Vec::new();
-        let mut slot: Vec<usize> = Vec::with_capacity(group.len());
-        for &(adder, mul, _) in group {
-            let key = (adds_dep.then_some(adder), muls_dep.then_some(mul));
-            let i = match memo.iter().find(|&&(k, _)| k == key) {
-                Some(&(_, i)) => i,
-                None => {
-                    let i = uniq.len();
-                    memo.push((key, i));
-                    uniq.push((adder, mul));
-                    i
-                }
-            };
-            slot.push(i);
-        }
-
         // Per-lane models and analytic profiles.
-        let mut lane_add: Vec<AdderModel> = Vec::with_capacity(uniq.len());
-        let mut lane_mul: Vec<MulModel> = Vec::with_capacity(uniq.len());
-        let mut lane_profile: Vec<ArithProfile> = Vec::with_capacity(uniq.len());
-        for &(adder, mul) in &uniq {
+        let mut lane_add: Vec<AdderModel> = Vec::with_capacity(group.len());
+        let mut lane_mul: Vec<MulModel> = Vec::with_capacity(group.len());
+        let mut lane_profile: Vec<ArithProfile> = Vec::with_capacity(group.len());
+        for &(adder, mul, _) in group {
             let binding = Binding::for_widths(
                 lib,
                 self.skeleton.add_width,
@@ -1059,8 +1063,7 @@ impl CompiledProgram {
             ));
         }
 
-        stats.kernel_designs += uniq.len() as u64;
-        stats.dedup_hits += (group.len() - uniq.len()) as u64;
+        stats.kernel_designs += group.len() as u64;
 
         // --- Stage 1: once per distinct multiplier (just once when no
         // approximate multiplication lands in the stage).
@@ -1069,8 +1072,8 @@ impl CompiledProgram {
         base_mem.extend_from_slice(image);
         base_mem.resize(n_shared, 0);
         let mut mems: Vec<(Option<MulId>, Vec<i64>)> = Vec::new();
-        let mut mem_of: Vec<usize> = Vec::with_capacity(uniq.len());
-        for (i, &(_, mul)) in uniq.iter().enumerate() {
+        let mut mem_of: Vec<usize> = Vec::with_capacity(group.len());
+        for (i, &(_, mul, _)) in group.iter().enumerate() {
             let mkey = stage1_mul_dependent.then_some(mul);
             let idx = match mems.iter().position(|(k, _)| *k == mkey) {
                 Some(j) => j,
@@ -1089,15 +1092,15 @@ impl CompiledProgram {
         // per batch), executed op-by-op across the batch so independent
         // designs' dependency chains overlap instead of serialising.
         let stage2_started = std::time::Instant::now();
-        let mut order: Vec<usize> = (0..uniq.len()).collect();
-        order.sort_unstable_by_key(|&i| uniq[i].0);
-        let mut outputs_per_lane: Vec<Vec<i64>> = vec![Vec::new(); uniq.len()];
+        let mut order: Vec<usize> = (0..group.len()).collect();
+        order.sort_unstable_by_key(|&i| group[i].0);
+        let mut outputs_per_lane: Vec<Vec<i64>> = vec![Vec::new(); group.len()];
         let mut privs: Vec<i64> = Vec::new();
         let mut start = 0;
         while start < order.len() {
-            let adder = uniq[order[start]].0;
+            let adder = group[order[start]].0;
             let mut end = start + 1;
-            while end < order.len() && uniq[order[end]].0 == adder {
+            while end < order.len() && group[order[end]].0 == adder {
                 end += 1;
             }
             let lanes = &order[start..end];
@@ -1133,26 +1136,11 @@ impl CompiledProgram {
         }
         stats.stage2_ns += stage2_started.elapsed().as_nanos() as u64;
 
-        // --- Assemble in `group` order; duplicates clone their class
-        // representative's outcome.
-        let mut first_pos: Vec<Option<usize>> = vec![None; uniq.len()];
-        let mut outcomes: Vec<ExecOutcome> = Vec::with_capacity(group.len());
-        for &i in &slot {
-            match first_pos[i] {
-                Some(p) => {
-                    let outcome = outcomes[p].clone();
-                    outcomes.push(outcome);
-                }
-                None => {
-                    first_pos[i] = Some(outcomes.len());
-                    outcomes.push(ExecOutcome {
-                        outputs: std::mem::take(&mut outputs_per_lane[i]),
-                        profile: lane_profile[i],
-                    });
-                }
-            }
-        }
-        Ok(outcomes)
+        Ok(outputs_per_lane
+            .into_iter()
+            .zip(lane_profile)
+            .map(|(outputs, profile)| ExecOutcome { outputs, profile })
+            .collect())
     }
 
     /// Stage-2 batch executor: dispatches once on the batch-wide adder kind
@@ -1262,16 +1250,6 @@ impl CompiledProgram {
 /// through the factored kernel; smaller groups run design-by-design
 /// (factoring has a per-group setup pass to amortise).
 pub const MIN_FACTORED_GROUP: usize = 3;
-
-/// Per-signature memo of already-evaluated designs, shared across every
-/// group of a batch: one `(adder, mul) → outcome` table per distinct
-/// flag signature ([`CompiledSkeleton::flag_signature`]).
-type SignatureCache = Vec<(u64, Vec<((AdderId, MulId), ExecOutcome)>)>;
-
-/// A design's *effective* models under the active selection: `None` on
-/// an axis the mask never exercises approximately, so designs differing
-/// only there compare equal and dedup.
-type EffectiveKey = (Option<AdderId>, Option<MulId>);
 
 /// Tag bit marking a *private* (per-design, stage-2) cell id in the
 /// factored kernel's remapped operand space; untagged ids index the shared

@@ -5,10 +5,14 @@
 //! structural invariants (cost accounting, error confinement).
 
 use ax_operators::{AdderId, BitWidth, MulId, OperatorLibrary};
-use ax_vm::exec::{Binding, Executor};
+use ax_vm::compile::{CompiledSkeleton, OutcomeKey};
+use ax_vm::exec::{Binding, ExecOutcome, ExecScratch, Executor};
 use ax_vm::instrument::{instruction_flags, VarMask};
 use ax_vm::ir::{Instr, Program, ProgramBuilder, Slot, VarId};
+use ax_vm::VmError;
 use proptest::prelude::*;
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A randomly generated program description: variable lengths plus an
 /// instruction recipe over them.
@@ -218,6 +222,38 @@ proptest! {
             }
             (Err(ea), Err(eb)) => prop_assert_eq!(ea, eb),
             (a, b) => prop_assert!(false, "divergent results: {a:?} vs {b:?}"),
+        }
+    }
+
+    /// Designs with equal outcome keys run to identical outcomes — outputs,
+    /// profiles and errors — over every design of a generated program.
+    #[test]
+    fn equal_outcome_keys_mean_equal_outcomes(spec in arb_spec()) {
+        let program = build(&spec);
+        let lib = OperatorLibrary::evoapprox();
+        let image = Executor::new(&program)
+            .with_input("x", &spec.inputs)
+            .unwrap()
+            .initial_memory()
+            .unwrap();
+        let skeleton = Arc::new(CompiledSkeleton::new(&program));
+        let mut scratch = ExecScratch::new();
+        let mut first: HashMap<OutcomeKey, Result<ExecOutcome, VmError>> = HashMap::new();
+        for bits in 0..(1u64 << VarMask::none(&program).len()) {
+            for adder in 0..6 {
+                for mul in 0..6 {
+                    let (adder, mul) = (AdderId(adder), MulId(mul));
+                    let binding = Binding::new(&lib, &program, adder, mul).unwrap();
+                    let outcome = skeleton.compile(&binding, bits).run(&image, &mut scratch);
+                    let key = skeleton.outcome_key(adder, mul, bits);
+                    match first.get(&key) {
+                        Some(expected) => prop_assert_eq!(expected, &outcome),
+                        None => {
+                            first.insert(key, outcome);
+                        }
+                    }
+                }
+            }
         }
     }
 }

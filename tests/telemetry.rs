@@ -157,6 +157,40 @@ fn compiled_and_interpreted_engines_agree_on_cache_and_budget_metrics() {
     );
 }
 
+/// On the compiled engine a design that misses both design caches counts
+/// as one execution whether a VM run or the context's outcome memo
+/// answered it: a sequential fresh-cache campaign executes exactly its
+/// shared-cache misses, and the latency histogram, which times real VM
+/// runs only, holds fewer samples than that.
+#[test]
+fn outcome_memo_keeps_executions_equal_to_cache_misses() {
+    use axdse_suite::ax_dse::campaign::{ExperimentSpec, NullObserver};
+    use axdse_suite::ax_dse::SharedCache;
+    let mut spec =
+        ExperimentSpec::from_json_str(include_str!("../examples/campaign_pareto.json")).unwrap();
+    spec.parallelism = Some(1);
+    let cache = SharedCache::new();
+    let telemetry = Telemetry::new();
+    let lib = spec.library.build();
+    run_spec_traced(
+        &lib,
+        &spec,
+        Some(std::sync::Arc::clone(&cache)),
+        &NullObserver,
+        &telemetry,
+    )
+    .unwrap();
+    let snap = telemetry.snapshot().unwrap();
+    let executions = snap.counter("backend.executions").unwrap();
+    assert_eq!(executions, cache.misses());
+    assert_eq!(snap.counter("cache.misses"), Some(cache.misses()));
+    let vm_runs = snap.histogram("exec.latency_ns").unwrap().count;
+    assert!(
+        0 < vm_runs && vm_runs < executions,
+        "{vm_runs} VM runs for {executions} executions"
+    );
+}
+
 /// A parallel budgeted campaign still satisfies the ledger invariant the
 /// telemetry summary checks: per-cell spends sum to the global raw spend,
 /// which splits into the clamped spend plus the cooperative overshoot.
