@@ -13,6 +13,9 @@
 //!   paper's "improve the learning strategy" direction);
 //! * [`policy`] — ε-greedy and softmax exploration over Q-values, with
 //!   [`schedule::Schedule`]d hyper-parameters;
+//! * [`env`](mod@crate::env) — the Gymnasium-style [`env::Env`] contract (`reset`/`step`)
+//!   the agents train against, plus reference environments with known
+//!   optimal policies;
 //! * [`train`](mod@crate::train) — the continuing-exploration training
 //!   loop with the paper's stop conditions (step cap, cumulative-reward
 //!   target, environment termination);
@@ -25,8 +28,7 @@
 //! use ax_agents::agent::TabularAgent;
 //! use ax_agents::qlearning::QLearningBuilder;
 //! use ax_agents::train::{train, TrainOptions};
-//! use ax_gym::toy::LineWorld;
-//! use ax_gym::wrappers::TimeLimit;
+//! use ax_agents::env::{LineWorld, TimeLimit};
 //!
 //! let mut env = TimeLimit::new(LineWorld::new(6), 50);
 //! let mut agent = QLearningBuilder::new(2).gamma(0.9).seed(1).build();
@@ -41,6 +43,7 @@
 
 pub mod agent;
 pub mod double_q;
+pub mod env;
 pub mod policy;
 pub mod qlambda;
 pub mod qlearning;

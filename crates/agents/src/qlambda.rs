@@ -134,10 +134,8 @@ impl<S: Eq + Hash + Clone> TabularAgent<S> for QLambdaAgent<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::env::{Env, LineWorld, TimeLimit};
     use crate::train::{train, TrainOptions};
-    use ax_gym::env::Env;
-    use ax_gym::toy::LineWorld;
-    use ax_gym::wrappers::TimeLimit;
 
     fn agent(lambda: f64) -> QLambdaAgent<usize> {
         QLambdaAgent::new(

@@ -9,12 +9,11 @@
 //! the paper's Figures 2–4.
 
 use crate::agent::{TabularAgent, TabularTransition};
-use ax_gym::env::Env;
-use serde::{Deserialize, Serialize};
+use crate::env::Env;
 use std::hash::Hash;
 
 /// Options for [`train`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainOptions {
     /// Hard cap on total steps (the paper uses 10 000).
     pub max_steps: u64,
@@ -60,7 +59,7 @@ impl TrainOptions {
 }
 
 /// Why a training run ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StopReason {
     /// The step cap was reached.
     MaxSteps,
@@ -74,7 +73,7 @@ pub enum StopReason {
 }
 
 /// One recorded training step.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepRecord {
     /// Global step index (0-based).
     pub step: u64,
@@ -91,7 +90,7 @@ pub struct StepRecord {
 }
 
 /// Full record of a training run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainLog {
     /// Every step, in order.
     pub steps: Vec<StepRecord>,
@@ -334,12 +333,11 @@ impl<O: Eq + Hash + Clone> TrainSession<O> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::env::{LineWorld, TimeLimit, TwoArmedBandit};
     use crate::policy::ExplorationPolicy;
     use crate::qlearning::QLearningBuilder;
     use crate::sarsa::{ExpectedSarsaAgent, SarsaAgent};
     use crate::schedule::Schedule;
-    use ax_gym::toy::{LineWorld, TwoArmedBandit};
-    use ax_gym::wrappers::TimeLimit;
 
     #[test]
     fn qlearning_solves_line_world() {

@@ -18,8 +18,8 @@
 //! [`ExperimentSpec`] files with `repro run`.
 
 use ax_bench::append_bench_record;
+use ax_dse::backend::{EvalContext, SharedCache};
 use ax_dse::campaign::{BackendSpec, BenchmarkSpec, ExperimentSpec, SeedRange};
-use ax_dse::evaluator::{EvalContext, SharedCache};
 use ax_dse::explore::{AgentKind, ExploreOptions};
 use ax_dse::json::Json;
 use ax_surrogate::{sweep_in_context_surrogate, SurrogateSettings, SurrogateSweepOutcome};

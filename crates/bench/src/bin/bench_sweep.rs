@@ -52,8 +52,8 @@
 //! dispatch + cache-sharing overhead rather than raw evaluation).
 
 use ax_bench::append_bench_record;
+use ax_dse::backend::{EvalContext, SharedCache};
 use ax_dse::campaign::{BenchmarkSpec, BudgetPolicy, Campaign, ExperimentSpec, SeedRange};
-use ax_dse::evaluator::{EvalContext, SharedCache};
 use ax_dse::explore::{AgentKind, ExploreOptions};
 use ax_dse::json::Json;
 use ax_operators::{AdderId, MulId};

@@ -9,17 +9,16 @@
 //! * [`pareto_front`] / [`hypervolume_2d`] — the multi-objective quality
 //!   measures used by the explorer-comparison ablation.
 
+use crate::backend::EvalMetrics;
 use crate::config::AxConfig;
 use crate::env::StepTrace;
-use crate::evaluator::EvalMetrics;
-use serde::{Deserialize, Serialize};
 
 /// Min / solution / max of one exploration metric (one Table III block).
 ///
 /// "Solution" is the value at the **last** exploration step, following the
 /// paper ("the approximation run of the last step"); min and max are the
 /// extremes observed anywhere during the exploration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MetricSummary {
     /// Minimum observed value.
     pub min: f64,
@@ -52,7 +51,7 @@ impl MetricSummary {
 }
 
 /// The per-step series of one exploration (Figures 2 and 3).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FigureSeries {
     /// Δpower per step.
     pub power: Vec<f64>,

@@ -16,14 +16,13 @@ use ax_telemetry::{Event, EventKind, MetricsSnapshot, Telemetry, SOURCE_COORDINA
 use ax_vm::VmError;
 use ax_workloads::Workload;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Query counters of a tiered (surrogate-assisted) backend, summed into
 /// campaign reports. Defined here so the backend-agnostic campaign layer
 /// can report tier usage; the `ax-surrogate` crate re-exports it and its
 /// `TieredBackend` produces it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TieredStats {
     /// Queries answered from a backend's own memo table.
     pub memo_hits: u64,
@@ -223,7 +222,7 @@ where
 }
 
 /// One (benchmark, agent) cell of a campaign report.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CellReport {
     /// Benchmark name.
     pub benchmark: String,
@@ -248,7 +247,7 @@ pub struct CellReport {
 }
 
 /// Budget accounting of a finished campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BudgetReport {
     /// The global cap, if one was set.
     pub cap: Option<u64>,
@@ -278,7 +277,7 @@ impl BudgetReport {
 }
 
 /// One cell's allocation state at the end of a scheduler round.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CellAllocation {
     /// Benchmark name.
     pub benchmark: String,
@@ -305,7 +304,7 @@ pub struct CellAllocation {
 /// Hyperband one per round of every bracket — recording grants, spend,
 /// the ranking signal and which cells survived. Unbounded single-round
 /// campaigns have nothing to allocate and record none.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AllocationReport {
     /// Round index within the bracket (0-based). For asynchronous halving
     /// this is the rung index.
@@ -324,7 +323,7 @@ impl AllocationReport {
 }
 
 /// One cell on the campaign's final non-dominated front.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ParetoPoint {
     /// Grid cell index (benchmark-major).
     pub cell: usize,
@@ -349,7 +348,7 @@ pub struct ParetoPoint {
 /// Always computed — scalarised campaigns report it too (the ranking
 /// field records which ordering actually drove survival decisions), so
 /// every report exposes the front without re-running the campaign.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ParetoReport {
     /// The ranking that drove scheduler survival decisions.
     pub ranking: Ranking,
@@ -429,10 +428,9 @@ impl CampaignReport {
     /// The report as a machine-readable JSON document: per-cell sweep
     /// statistics and tier usage, per-benchmark portfolio rankings, the
     /// budget accounting and every per-round/rung/bracket
-    /// [`AllocationReport`]. Serialised over [`crate::json::Json`]
-    /// (the workspace's serde is an offline no-op shim), so the output is
-    /// plain text any JSON consumer can read — `repro run --report-json
-    /// FILE` writes exactly this document.
+    /// [`AllocationReport`]. Serialised over [`crate::json::Json`], so the
+    /// output is plain text any JSON consumer can read — `repro run
+    /// --report-json FILE` writes exactly this document.
     ///
     /// ```
     /// use ax_dse::campaign::{Campaign, SeedRange};

@@ -60,14 +60,12 @@ pub use spec::{
 // The multi-objective vocabulary campaign ranking and reports speak.
 pub use crate::pareto::{DesignObjectives, Objective, ObjectiveDecl, Ranking};
 
-use serde::{Deserialize, Serialize};
-
 /// Tuning of the two-tier surrogate policy and its underlying regressor.
 ///
 /// Lives in the backend-agnostic campaign layer so a [`BackendSpec`] can
 /// name it in serialised specs; the implementation consuming it is the
 /// `ax-surrogate` crate's `TieredBackend` (which re-exports this type).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SurrogateSettings {
     /// Exact evaluations to absorb before the surrogate may answer.
     pub warmup: u64,

@@ -4,9 +4,9 @@
 //! agent roster, seed range, backend choice, stop/budget rules — as plain
 //! data, so whole experiments become checked-in JSON files (see
 //! `examples/campaign_matmul.json`) executed by `repro run <spec.json>`.
-//! The JSON mapping is hand-written over [`crate::json`] because the
-//! workspace's serde is an offline no-op shim; every field is optional in
-//! the file and falls back to the same defaults the builder uses.
+//! The JSON mapping is hand-written over [`crate::json`]; every field is
+//! optional in the file and falls back to the same defaults the builder
+//! uses.
 
 use crate::campaign::SurrogateSettings;
 use crate::explore::{AgentKind, ExploreOptions};
@@ -17,11 +17,10 @@ use ax_agents::schedule::Schedule;
 use ax_operators::OperatorLibrary;
 use ax_workloads::{conv2d::Conv2d, dct::Dct8, dot::DotProduct, fir::Fir, matmul::MatMul};
 use ax_workloads::{sobel::Sobel, Workload};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A contiguous range of agent seeds: `start, start+1, …, start+count-1`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SeedRange {
     /// First agent seed.
     pub start: u64,
@@ -54,7 +53,7 @@ impl Default for SeedRange {
 
 /// A benchmark named by kind and size — the serialisable counterpart of
 /// the concrete [`Workload`] constructors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BenchmarkSpec {
     /// `size × size` matrix multiplication (paper Table III).
     MatMul(usize),
@@ -151,7 +150,7 @@ impl BenchmarkSpec {
 }
 
 /// The evaluation backend a campaign scores designs with.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum BackendSpec {
     /// The exact [`crate::backend::Evaluator`] on its default threaded-code
     /// engine ([`crate::backend::ExecEngine::Compiled`]).
@@ -194,7 +193,7 @@ impl BackendSpec {
 
 /// The pre-characterised operator library a campaign scores designs
 /// against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LibrarySpec {
     /// The six-per-class EvoApprox selection (the paper's library).
     #[default]
@@ -234,7 +233,7 @@ impl LibrarySpec {
 
 /// One Hyperband bracket: a synchronous successive-halving configuration
 /// `(rounds, keep_fraction)` run as one stage of the outer loop.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HalvingBracket {
     /// Grant/rank rounds of this bracket (≥ 1).
     pub rounds: u32,
@@ -267,7 +266,7 @@ impl HalvingBracket {
 /// waiting for slow peers, and [`BudgetPolicy::Hyperband`] sweeps whole
 /// bracket configurations so the (rounds, keep) choice itself need not be
 /// hand-tuned.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub enum BudgetPolicy {
     /// Every cell gets an equal share of the global cap (the whole cap
     /// when unbounded). With a budget generous enough that no share binds,
@@ -713,7 +712,7 @@ impl From<JsonError> for SpecError {
 /// let text = spec.to_json_string();
 /// assert_eq!(ExperimentSpec::from_json_str(&text).unwrap(), spec);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentSpec {
     /// Human-readable campaign name.
     pub name: String,

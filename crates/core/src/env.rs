@@ -13,14 +13,12 @@
 use crate::backend::{EvalBackend, EvalMetrics, Evaluator};
 use crate::config::{AxConfig, SpaceDims};
 use crate::reward::{reward, RewardParams};
-use ax_gym::env::{Env, Step};
-use ax_gym::space::Space;
+use ax_agents::env::{Env, Step};
 use ax_operators::{AdderId, MulId};
-use serde::{Deserialize, Serialize};
 
 /// The hashable observation: the discrete configuration part of the paper's
 /// Equation 1 state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DseState {
     /// Selected adder index.
     pub adder: usize,
@@ -41,7 +39,7 @@ impl From<AxConfig> for DseState {
 }
 
 /// A decoded environment action.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DseAction {
     /// Select adder `i` of the width class.
     SetAdder(usize),
@@ -52,7 +50,7 @@ pub enum DseAction {
 }
 
 /// One recorded environment step (configuration, observations, reward).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepTrace {
     /// Global step index (0-based).
     pub step: u64,
@@ -183,26 +181,6 @@ impl<B: EvalBackend> DseEnv<B> {
 impl<B: EvalBackend> Env for DseEnv<B> {
     type Obs = DseState;
     type Action = usize;
-
-    fn observation_space(&self) -> Space {
-        let d = self.dims();
-        Space::Tuple(vec![
-            Space::Discrete { n: d.n_add },
-            Space::Discrete { n: d.n_mul },
-            Space::MultiBinary {
-                n: d.n_vars as usize,
-            },
-            // The Δacc / Δpower / Δtime observations of Equation 1
-            // (practically unbounded; finite bounds keep sampling total).
-            Space::uniform_box(3, -1e18, 1e18),
-        ])
-    }
-
-    fn action_space(&self) -> Space {
-        Space::Discrete {
-            n: self.action_count(),
-        }
-    }
 
     fn reset(&mut self, _seed: Option<u64>) -> DseState {
         // Inputs are fixed at construction (the paper explores one benchmark
@@ -343,17 +321,10 @@ mod tests {
     }
 
     #[test]
-    fn spaces_describe_the_setup() {
-        let e = env();
-        assert_eq!(e.action_space(), Space::Discrete { n: 16 });
-        match e.observation_space() {
-            Space::Tuple(parts) => {
-                assert_eq!(parts.len(), 4);
-                assert_eq!(parts[0], Space::Discrete { n: 6 });
-                assert_eq!(parts[2], Space::MultiBinary { n: 4 });
-            }
-            other => panic!("unexpected space {other}"),
-        }
+    fn dims_describe_the_setup() {
+        let d = env().dims();
+        assert_eq!((d.n_add, d.n_vars), (6, 4));
+        assert_eq!(d.action_count(), 16);
     }
 
     #[test]
@@ -368,7 +339,7 @@ mod tests {
 
     #[test]
     fn env_is_pluggable_over_any_backend() {
-        use crate::evaluator::EvalMetrics;
+        use crate::backend::EvalMetrics;
         use ax_operators::BitWidth;
         use ax_vm::ir::ProgramBuilder;
         use ax_vm::VmError;
@@ -379,7 +350,7 @@ mod tests {
             calls: u64,
         }
 
-        impl crate::evaluator::EvalBackend for StubBackend {
+        impl crate::backend::EvalBackend for StubBackend {
             fn dims(&self) -> crate::config::SpaceDims {
                 crate::config::SpaceDims {
                     n_add: 2,

@@ -24,10 +24,9 @@ use ax_agents::sarsa::{ExpectedSarsaAgent, SarsaAgent};
 use ax_agents::schedule::Schedule;
 use ax_agents::train::{StopReason, TrainLog, TrainOptions, TrainSession};
 use ax_operators::OperatorLibrary;
-use serde::{Deserialize, Serialize};
 
 /// Options of one exploration run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExploreOptions {
     /// Step cap (paper: 10 000, "selected upon trial and error").
     pub max_steps: u64,
@@ -90,7 +89,7 @@ impl Default for ExploreOptions {
 }
 
 /// One Table III block: the summary of an exploration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExplorationSummary {
     /// Benchmark name.
     pub benchmark: String,
@@ -143,7 +142,7 @@ impl<B: EvalBackend> ExplorationOutcome<B> {
 ///
 /// The paper uses [`AgentKind::QLearning`]; the others are the ablation
 /// agents for its "improve the learning strategy" future-work direction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AgentKind {
     /// Tabular Q-learning (the paper's agent).
     QLearning,

@@ -1,17 +1,13 @@
 //! A minimal, dependency-free JSON document model.
 //!
-//! The workspace's `serde` is an offline no-op shim (see
-//! `crates/shims/serde`), so anything that must actually cross a process
-//! boundary — campaign [`crate::campaign::ExperimentSpec`] files, the
-//! persistent [`crate::backend::SharedCache`] table, the bench bins'
-//! `BENCH_*.json` records — serialises through this module instead.
-//! [`Json`] is a plain document tree with a recursive-descent parser and a
-//! deterministic pretty-printer; numbers keep their raw source token so
-//! `u64` values round-trip without `f64` precision loss.
-//!
-//! When crates.io access lands and the serde shim is swapped for the real
-//! crate, the hand-written `to_json`/`from_json` conversions can migrate to
-//! derives without changing any on-disk format.
+//! Everything that crosses a process boundary — campaign
+//! [`crate::campaign::ExperimentSpec`] files, the persistent
+//! [`crate::backend::SharedCache`] table, the bench bins' `BENCH_*.json`
+//! records — serialises through this module with hand-written
+//! `to_json`/`from_json` conversions. [`Json`] is a plain document tree
+//! with a recursive-descent parser and a deterministic pretty-printer;
+//! numbers keep their raw source token so `u64` values round-trip without
+//! `f64` precision loss.
 
 use std::fmt;
 
@@ -43,6 +39,12 @@ impl fmt::Display for JsonError {
 }
 
 impl std::error::Error for JsonError {}
+
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so without a cap a hostile document of a few
+/// hundred kilobytes of `[` overflows the stack; specs, cache files and
+/// reports nest a handful of levels.
+const MAX_DEPTH: usize = 128;
 
 fn err<T>(msg: impl Into<String>) -> Result<T, JsonError> {
     Err(JsonError(msg.into()))
@@ -160,11 +162,13 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Fails on malformed input or trailing garbage.
+    /// Fails on malformed input, trailing garbage, or arrays/objects
+    /// nested more than 128 levels deep.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -259,6 +263,8 @@ fn write_escaped(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -303,8 +309,8 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             other => err(format!(
                 "unexpected {:?} at byte {}",
@@ -312,6 +318,24 @@ impl Parser<'_> {
                 self.pos
             )),
         }
+    }
+
+    /// Parses one array or object one nesting level down, refusing to go
+    /// past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn number(&mut self) -> Result<Json, JsonError> {
@@ -521,6 +545,23 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\" 1}", "tru", "1 2", "\"unterminated"] {
             assert!(Json::parse(bad).is_err(), "{bad:?} must not parse");
         }
+    }
+
+    #[test]
+    fn nesting_depth_is_capped() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        let e = Json::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(e.0.contains("nesting deeper than 128"), "{e}");
+        let objects = format!(
+            "{}1{}",
+            "{\"k\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(Json::parse(&objects).is_err());
+        // Far past the cap the parser still returns instead of overflowing
+        // the stack.
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
     }
 
     #[test]

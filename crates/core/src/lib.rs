@@ -16,7 +16,7 @@
 //!   calibrated [`thresholds`] (power/time gains ≥ 50 % of the precise run,
 //!   accuracy loss ≤ 0.4 × the mean precise output);
 //! * evaluation runs the instrumented program through [`ax_vm`] with
-//!   memoisation ([`evaluator::Evaluator`]).
+//!   memoisation ([`backend::Evaluator`]).
 //!
 //! [`campaign`] is the public face: a declarative
 //! [`campaign::ExperimentSpec`] (benchmarks × agent roster × seed range,
@@ -57,7 +57,6 @@ pub mod backend;
 pub mod campaign;
 pub mod config;
 pub mod env;
-pub mod evaluator;
 pub mod explore;
 pub mod json;
 pub mod pareto;

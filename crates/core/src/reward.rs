@@ -16,13 +16,12 @@
 //! when it reaches the predefined maximum `R_cum >= R_max` (see
 //! [`ax_agents::train::TrainOptions::reward_target`]).
 
+use crate::backend::EvalMetrics;
 use crate::config::{AxConfig, SpaceDims};
-use crate::evaluator::EvalMetrics;
 use crate::thresholds::Thresholds;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the reward function.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RewardParams {
     /// The paper's `R`: the terminal bonus, the magnitude of the accuracy
     /// penalty, and (as `max_cumulative`) the exploration stop target.

@@ -14,8 +14,8 @@
 //! All explorers therefore optimise the same trade-off the RL reward
 //! encodes, making evaluations-to-quality comparisons meaningful.
 
+use crate::backend::{EvalBackend, EvalMetrics, Evaluator};
 use crate::config::AxConfig;
-use crate::evaluator::{EvalBackend, EvalMetrics, Evaluator};
 use crate::thresholds::Thresholds;
 use ax_agents::search::SearchSpace;
 use rand::rngs::StdRng;
@@ -115,7 +115,7 @@ mod tests {
     fn feasible_points_always_beat_infeasible() {
         let (mut ev, th) = space_parts();
         let space = DseSearchSpace::new(&mut ev, th);
-        let feasible = crate::evaluator::EvalMetrics {
+        let feasible = crate::backend::EvalMetrics {
             delta_acc: th.acc_th * 0.9,
             delta_power: 0.0,
             delta_time: 0.0,
@@ -123,7 +123,7 @@ mod tests {
             power: 0.0,
             time_ns: 0.0,
         };
-        let infeasible = crate::evaluator::EvalMetrics {
+        let infeasible = crate::backend::EvalMetrics {
             delta_acc: th.acc_th * 1.1,
             delta_power: 1e12,
             delta_time: 1e12,

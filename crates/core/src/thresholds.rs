@@ -8,11 +8,10 @@
 //! ablation) and [`ThresholdRule::calibrate`] produces the absolute
 //! [`Thresholds`] from a benchmark's precise run.
 
-use crate::evaluator::EvalBackend;
-use serde::{Deserialize, Serialize};
+use crate::backend::EvalBackend;
 
 /// Absolute thresholds used by the reward function (Algorithm 1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Thresholds {
     /// Tolerable accuracy loss `acc_th` (MAE units).
     pub acc_th: f64,
@@ -23,7 +22,7 @@ pub struct Thresholds {
 }
 
 /// Relative threshold rule, calibrated against the precise run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThresholdRule {
     /// Required power saving as a fraction of precise power (paper: 0.5).
     pub power_frac: f64,
@@ -74,7 +73,7 @@ impl ThresholdRule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluator::Evaluator;
+    use crate::backend::Evaluator;
     use ax_operators::OperatorLibrary;
     use ax_workloads::matmul::MatMul;
 

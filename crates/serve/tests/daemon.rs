@@ -292,6 +292,11 @@ fn bad_requests_get_json_errors() {
     assert_eq!(status, 404);
     let (status, _) = request(addr, "GET", "/campaigns/banana", "");
     assert_eq!(status, 400);
+    // Nesting far past the JSON parser's depth cap is a client error, not
+    // a stack overflow that takes the daemon down.
+    let (status, body) = request(addr, "POST", "/campaigns", &"[".repeat(200_000));
+    assert_eq!(status, 400, "{body}");
+    assert!(Json::parse(&body).unwrap().get("error").is_some());
     let (status, body) = request(addr, "GET", "/healthz", "");
     assert_eq!((status, body.as_str()), (200, "{\"ok\": true}"));
     shutdown(addr, handle);

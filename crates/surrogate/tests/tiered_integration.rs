@@ -3,6 +3,7 @@
 //! behind every existing `EvalBackend` seam (`DseEnv`, `DseSearchSpace`,
 //! `ThresholdRule::calibrate`) with no consumer-side special-casing.
 
+use ax_agents::env::Env;
 use ax_dse::backend::{EvalBackend, EvalContext, Evaluator};
 use ax_dse::config::AxConfig;
 use ax_dse::env::DseEnv;
@@ -10,7 +11,6 @@ use ax_dse::explore::{explore_backend, AgentKind, ExploreOptions};
 use ax_dse::reward::RewardParams;
 use ax_dse::search_adapter::DseSearchSpace;
 use ax_dse::thresholds::ThresholdRule;
-use ax_gym::env::Env;
 use ax_operators::{AdderId, MulId, OperatorLibrary};
 use ax_surrogate::{SurrogateSettings, TieredBackend};
 use ax_workloads::dot::DotProduct;

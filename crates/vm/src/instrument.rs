@@ -9,7 +9,6 @@
 //! approximate/precise decision — the "automatic code instrumentation".
 
 use crate::ir::{Program, VarId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A selection of program variables for approximation.
@@ -38,7 +37,7 @@ use std::fmt;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct VarMask {
     bits: u64,
     len: u32,

@@ -4,8 +4,8 @@
 //! seeds must give bit-identical results at every layer, or the paper's
 //! experiments would not be reproducible run to run.
 
+use axdse_suite::ax_dse::backend::{EvalContext, SharedCache};
 use axdse_suite::ax_dse::campaign::{Campaign, SeedRange};
-use axdse_suite::ax_dse::evaluator::{EvalContext, SharedCache};
 use axdse_suite::ax_dse::explore::AgentKind;
 use axdse_suite::ax_dse::explore::{ExplorationOutcome, ExploreOptions};
 use axdse_suite::ax_dse::sweep::SweepSummary;
