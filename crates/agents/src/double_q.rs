@@ -23,6 +23,8 @@ pub struct DoubleQAgent<S> {
     policy: ExplorationPolicy,
     rng: StdRng,
     step: u64,
+    /// Reused buffer for the summed row selection draws from.
+    combined: Vec<f64>,
 }
 
 impl<S: Eq + Hash + Clone> DoubleQAgent<S> {
@@ -48,21 +50,19 @@ impl<S: Eq + Hash + Clone> DoubleQAgent<S> {
             policy,
             rng: StdRng::seed_from_u64(seed),
             step: 0,
+            combined: Vec::with_capacity(n_actions),
         }
-    }
-
-    /// The combined (summed) Q-row used for action selection.
-    fn combined_row(&mut self, state: &S) -> Vec<f64> {
-        let a = self.qa.row(state).clone();
-        let b = self.qb.row(state).clone();
-        a.iter().zip(&b).map(|(x, y)| x + y).collect()
     }
 }
 
 impl<S: Eq + Hash + Clone> TabularAgent<S> for DoubleQAgent<S> {
     fn select_action(&mut self, state: &S) -> usize {
-        let row = self.combined_row(state);
-        let action = self.policy.choose(&row, self.step, &mut self.rng);
+        // Selection draws from the combined (summed) Q-row.
+        let (a, b) = (self.qa.row(state), self.qb.row(state));
+        self.combined.clear();
+        self.combined
+            .extend(a.iter().zip(b.iter()).map(|(x, y)| x + y));
+        let action = self.policy.choose(&self.combined, self.step, &mut self.rng);
         self.step += 1;
         action
     }
@@ -92,13 +92,10 @@ impl<S: Eq + Hash + Clone> TabularAgent<S> for DoubleQAgent<S> {
         match (self.qa.row_ref(state), self.qb.row_ref(state)) {
             (None, None) => 0,
             (a, b) => {
-                let n = self.qa.n_actions();
-                let row: Vec<f64> = (0..n)
-                    .map(|i| a.map_or(0.0, |r| r[i]) + b.map_or(0.0, |r| r[i]))
-                    .collect();
+                let sum = |i: usize| a.map_or(0.0, |r| r[i]) + b.map_or(0.0, |r| r[i]);
                 let mut best = 0;
-                for (i, &v) in row.iter().enumerate() {
-                    if v > row[best] {
+                for i in 1..self.qa.n_actions() {
+                    if sum(i) > sum(best) {
                         best = i;
                     }
                 }

@@ -16,6 +16,8 @@
 //! * [`env`](mod@crate::env) — the Gymnasium-style [`env::Env`] contract (`reset`/`step`)
 //!   the agents train against, plus reference environments with known
 //!   optimal policies;
+//! * [`hash`] — the word hasher of the program-internal tables (Q-table
+//!   rows, the exact backend's design memos);
 //! * [`train`](mod@crate::train) — the continuing-exploration training
 //!   loop with the paper's stop conditions (step cap, cumulative-reward
 //!   target, environment termination);
@@ -44,6 +46,7 @@
 pub mod agent;
 pub mod double_q;
 pub mod env;
+pub mod hash;
 pub mod policy;
 pub mod qlambda;
 pub mod qlearning;

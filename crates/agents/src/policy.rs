@@ -58,30 +58,40 @@ impl ExplorationPolicy {
 }
 
 /// The greedy action with uniform tie-breaking among maxima.
+///
+/// One `gen_range(0..ties)` draw picks the k-th maximum in index order,
+/// without collecting the ties.
 pub fn greedy_with_random_ties<R: Rng + ?Sized>(q_row: &[f64], rng: &mut R) -> usize {
     let max = q_row.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let ties: Vec<usize> = q_row
+    let is_max = |(_, &v): &(usize, &f64)| v == max;
+    let ties = q_row.iter().enumerate().filter(is_max).count();
+    let k = rng.gen_range(0..ties);
+    q_row
         .iter()
         .enumerate()
-        .filter(|(_, &v)| v == max)
+        .filter(is_max)
+        .nth(k)
         .map(|(i, _)| i)
-        .collect();
-    ties[rng.gen_range(0..ties.len())]
+        .expect("k < number of ties")
 }
 
 /// Samples from `softmax(q / t)` using the numerically stable shift.
+///
+/// The weights are recomputed on the sampling pass instead of being
+/// stored, so selection allocates nothing.
 fn softmax_sample<R: Rng + ?Sized>(q_row: &[f64], t: f64, rng: &mut R) -> usize {
     let max = q_row.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let weights: Vec<f64> = q_row.iter().map(|&v| ((v - max) / t).exp()).collect();
-    let total: f64 = weights.iter().sum();
+    let weight = |v: f64| ((v - max) / t).exp();
+    let total: f64 = q_row.iter().map(|&v| weight(v)).sum();
     let mut u = rng.gen_range(0.0..total);
-    for (i, w) in weights.iter().enumerate() {
-        if u < *w {
+    for (i, &v) in q_row.iter().enumerate() {
+        let w = weight(v);
+        if u < w {
             return i;
         }
         u -= w;
     }
-    weights.len() - 1
+    q_row.len() - 1
 }
 
 #[cfg(test)]

@@ -1,10 +1,15 @@
 //! The tabular action-value store.
 
-use std::collections::HashMap;
+use crate::hash::WordHashMap;
 use std::hash::Hash;
 
-/// A Q-table: maps states to per-action value vectors, created lazily with a
+/// A Q-table: maps states to per-action value rows, created lazily with a
 /// configurable optimistic/neutral initial value.
+///
+/// Rows live back to back in one contiguous `Vec<f64>`; a
+/// [`WordHashMap`] maps each visited state to its row's index. Reading or
+/// updating a visited state's row allocates nothing, and the key is cloned
+/// only when a state is first seen.
 ///
 /// ```
 /// use ax_agents::qtable::QTable;
@@ -19,7 +24,10 @@ use std::hash::Hash;
 pub struct QTable<S> {
     n_actions: usize,
     initial: f64,
-    values: HashMap<S, Vec<f64>>,
+    /// State → index of its row in `values`.
+    rows: WordHashMap<S, usize>,
+    /// Row `i` is `values[i * n_actions..(i + 1) * n_actions]`.
+    values: Vec<f64>,
 }
 
 impl<S: Eq + Hash + Clone> QTable<S> {
@@ -34,7 +42,8 @@ impl<S: Eq + Hash + Clone> QTable<S> {
         Self {
             n_actions,
             initial,
-            values: HashMap::new(),
+            rows: WordHashMap::default(),
+            values: Vec::new(),
         }
     }
 
@@ -45,20 +54,30 @@ impl<S: Eq + Hash + Clone> QTable<S> {
 
     /// Number of states visited so far.
     pub fn n_states(&self) -> usize {
-        self.values.len()
+        self.rows.len()
     }
 
     /// The action values of `state` (initialising lazily).
-    pub fn row(&mut self, state: &S) -> &mut Vec<f64> {
-        let (n, init) = (self.n_actions, self.initial);
-        self.values
-            .entry(state.clone())
-            .or_insert_with(|| vec![init; n])
+    pub fn row(&mut self, state: &S) -> &mut [f64] {
+        let n = self.n_actions;
+        let i = match self.rows.get(state) {
+            Some(&i) => i,
+            None => {
+                let i = self.rows.len();
+                self.rows.insert(state.clone(), i);
+                self.values.resize((i + 1) * n, self.initial);
+                i
+            }
+        };
+        &mut self.values[i * n..(i + 1) * n]
     }
 
     /// The action values of `state` without inserting; `None` if unvisited.
     pub fn row_ref(&self, state: &S) -> Option<&[f64]> {
-        self.values.get(state).map(|v| v.as_slice())
+        let n = self.n_actions;
+        self.rows
+            .get(state)
+            .map(|&i| &self.values[i * n..(i + 1) * n])
     }
 
     /// The value of `(state, action)`.
@@ -68,21 +87,19 @@ impl<S: Eq + Hash + Clone> QTable<S> {
     /// Panics if `action` is out of range.
     pub fn value(&self, state: &S, action: usize) -> f64 {
         assert!(action < self.n_actions, "action {action} out of range");
-        self.values
-            .get(state)
-            .map_or(self.initial, |row| row[action])
+        self.row_ref(state).map_or(self.initial, |row| row[action])
     }
 
     /// Greatest action value at `state`.
     pub fn max_value(&self, state: &S) -> f64 {
-        self.values.get(state).map_or(self.initial, |row| {
+        self.row_ref(state).map_or(self.initial, |row| {
             row.iter().copied().fold(f64::NEG_INFINITY, f64::max)
         })
     }
 
     /// Lowest-index action attaining the maximum value at `state`.
     pub fn best_action(&self, state: &S) -> usize {
-        match self.values.get(state) {
+        match self.row_ref(state) {
             None => 0,
             Some(row) => {
                 let mut best = 0;

@@ -3,10 +3,10 @@
 use super::EvalMetrics;
 use crate::config::AxConfig;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 
 /// Interned identifier of one `(benchmark, input_seed)` cache scope.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -38,9 +38,17 @@ struct Shard {
 /// holds at most `max_entries_per_shard` designs and evicts its oldest
 /// entry (FIFO) when full. Eviction costs recomputation only, never
 /// correctness — evaluation is deterministic.
+///
+/// On the exact backend's single-design path a miss is single-flight:
+/// while one evaluator computes a design, others asking for it wait for
+/// its result instead of computing it again, so misses count distinct
+/// designs whatever the thread interleaving.
 #[derive(Debug)]
 pub struct SharedCache {
     shards: Vec<RwLock<Shard>>,
+    /// Per shard: the designs some [`Claim`] holder is computing, and the
+    /// condition variable evaluators waiting for one of them sleep on.
+    in_flight: Vec<(Mutex<HashSet<ScopedConfig>>, Condvar)>,
     /// Per-shard entry bound; `None` = unbounded.
     shard_capacity: Option<usize>,
     scopes: RwLock<HashMap<(String, u64), CacheScope>>,
@@ -98,6 +106,7 @@ impl SharedCache {
         assert!(shards > 0, "cache needs at least one shard");
         Arc::new(Self {
             shards: (0..shards).map(|_| RwLock::new(Shard::default())).collect(),
+            in_flight: (0..shards).map(|_| Default::default()).collect(),
             shard_capacity,
             scopes: RwLock::new(HashMap::new()),
             next_scope: AtomicU64::new(0),
@@ -150,10 +159,67 @@ impl SharedCache {
         }
     }
 
-    fn shard(&self, key: &ScopedConfig) -> &RwLock<Shard> {
+    fn shard_index(&self, key: &ScopedConfig) -> usize {
         let mut h = DefaultHasher::new();
         key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % self.shards.len()]
+        (h.finish() as usize) % self.shards.len()
+    }
+
+    fn shard(&self, key: &ScopedConfig) -> &RwLock<Shard> {
+        &self.shards[self.shard_index(key)]
+    }
+
+    /// Looks up a configuration in a scope; on a miss, claims it.
+    ///
+    /// A hit returns the metrics. A miss returns a [`Claim`]: the caller
+    /// computes the design and hands the result to [`Claim::fill`]. While
+    /// the claim is out, other callers asking for the same design wait for
+    /// it and then count a hit, so concurrent evaluators never compute one
+    /// design twice and the hit and miss counts are those of a sequential
+    /// run. Dropping a claim unfilled (the computation failed) wakes the
+    /// waiters, and the next one claims the design itself.
+    ///
+    /// Hold at most one claim at a time: a holder that waits for another
+    /// design can deadlock against a holder waiting for its own.
+    pub(crate) fn get_or_claim(self: &Arc<Self>, scope: CacheScope, config: &AxConfig) -> Lookup {
+        let key = ScopedConfig {
+            scope,
+            config: *config,
+        };
+        let i = self.shard_index(&key);
+        let cached = || {
+            self.shards[i]
+                .read()
+                .expect("cache shard poisoned")
+                .map
+                .get(&key)
+                .copied()
+        };
+        let hit = |m| {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            Lookup::Hit(m)
+        };
+        if let Some(m) = cached() {
+            return hit(m);
+        }
+        let (lock, ready) = &self.in_flight[i];
+        let mut pending = lock.lock().expect("in-flight table poisoned");
+        loop {
+            // Checked under the in-flight lock: a claim is filled before it
+            // is withdrawn, so a waiter woken by the withdrawal finds the
+            // entry here.
+            if let Some(m) = cached() {
+                return hit(m);
+            }
+            if pending.insert(key) {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                return Lookup::Claim(Claim {
+                    cache: Arc::clone(self),
+                    key,
+                });
+            }
+            pending = ready.wait(pending).expect("in-flight table poisoned");
+        }
     }
 
     /// Looks up a configuration in a scope.
@@ -574,6 +640,48 @@ impl SharedCache {
     }
 }
 
+/// What [`SharedCache::get_or_claim`] found.
+#[derive(Debug)]
+pub(crate) enum Lookup {
+    /// The design's metrics: cached, or computed meanwhile by the
+    /// evaluator that held its claim.
+    Hit(EvalMetrics),
+    /// No evaluator has the design: the caller now holds its claim.
+    Claim(Claim),
+}
+
+/// The exclusive right to compute one design missing from a
+/// [`SharedCache`], taken by [`SharedCache::get_or_claim`].
+///
+/// [`Claim::fill`] caches the result; dropping the claim unfilled withdraws
+/// it. Either way, evaluators waiting for the design wake up.
+#[derive(Debug)]
+#[must_use = "a claim must be filled with the design's metrics"]
+pub(crate) struct Claim {
+    cache: Arc<SharedCache>,
+    key: ScopedConfig,
+}
+
+impl Claim {
+    /// Caches the claimed design's metrics and releases the claim.
+    pub(crate) fn fill(self, metrics: EvalMetrics) {
+        self.cache.insert(self.key.scope, self.key.config, metrics);
+        // Dropping `self` withdraws the claim and wakes the waiters.
+    }
+}
+
+impl Drop for Claim {
+    fn drop(&mut self) {
+        let (lock, ready) = &self.cache.in_flight[self.cache.shard_index(&self.key)];
+        // Membership is all the set holds, so a lock poisoned by another
+        // thread's panic is still safe to use; a drop must not panic.
+        lock.lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(&self.key);
+        ready.notify_all();
+    }
+}
+
 impl SharedCache {
     /// Age after which a writer assumes a `.lock` file was left behind by
     /// a crashed process and steals it.
@@ -668,6 +776,50 @@ mod tests {
             mul: MulId((i % 5) as usize),
             vars: i,
         }
+    }
+
+    #[test]
+    fn a_design_in_flight_is_waited_for_not_recomputed() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let cache = SharedCache::new();
+        let scope = cache.scope("bench", 0);
+        let Lookup::Claim(claim) = cache.get_or_claim(scope, &config(3)) else {
+            panic!("an empty cache must hand out the claim");
+        };
+        let (tx, rx) = mpsc::channel();
+        let waiter = {
+            let cache = Arc::clone(&cache);
+            std::thread::spawn(move || {
+                let found = match cache.get_or_claim(scope, &config(3)) {
+                    Lookup::Hit(m) => Some(m),
+                    Lookup::Claim(_) => None,
+                };
+                tx.send(found).expect("main thread listens");
+            })
+        };
+        // The second caller blocks while the claim is out ...
+        assert!(rx.recv_timeout(Duration::from_millis(50)).is_err());
+        // ... and reads the filled result as a hit.
+        claim.fill(metrics(7.0));
+        assert_eq!(rx.recv().expect("waiter answers"), Some(metrics(7.0)));
+        waiter.join().expect("waiter thread");
+        assert_eq!((cache.misses(), cache.hits()), (1, 1));
+    }
+
+    #[test]
+    fn an_unfilled_claim_passes_to_the_next_caller() {
+        let cache = SharedCache::new();
+        let scope = cache.scope("bench", 0);
+        let first = cache.get_or_claim(scope, &config(1));
+        assert!(matches!(first, Lookup::Claim(_)));
+        drop(first);
+        assert!(matches!(
+            cache.get_or_claim(scope, &config(1)),
+            Lookup::Claim(_)
+        ));
+        assert_eq!(cache.misses(), 2);
+        assert!(cache.is_empty());
     }
 
     #[test]

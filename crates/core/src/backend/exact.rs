@@ -1,9 +1,10 @@
 //! The exact evaluation backend: runs designs on the compiled engine (or
 //! the reference interpreter) against the precise reference.
 
-use super::cache::{CacheScope, SharedCache};
+use super::cache::{CacheScope, Lookup, SharedCache};
 use super::{EvalBackend, EvalMetrics};
 use crate::config::{AxConfig, SpaceDims};
+use ax_agents::hash::WordHashMap;
 use ax_operators::metrics::{mae, signed_mean_error};
 use ax_operators::OperatorLibrary;
 use ax_telemetry::Telemetry;
@@ -12,7 +13,6 @@ use ax_vm::exec::{run_from_image, Binding, ExecScratch};
 use ax_vm::instrument::VarMask;
 use ax_vm::VmError;
 use ax_workloads::{PreparedWorkload, Workload};
-use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
 
 /// Which execution engine [`Evaluator`]s spawned from an [`EvalContext`]
@@ -57,8 +57,9 @@ pub struct EvalContext {
     /// The compiled engine's execution-equivalence memo: metrics of every
     /// executed design, keyed by [`CompiledSkeleton::outcome_key`], so a
     /// design equivalent to one any evaluator of this context already ran
-    /// is answered without a VM run. Fresh per context build.
-    memo: Arc<RwLock<HashMap<OutcomeKey, EvalMetrics>>>,
+    /// is answered without a VM run. Fresh per context build. Its keys are
+    /// computed by the program, so it takes the word hasher.
+    memo: Arc<RwLock<WordHashMap<OutcomeKey, EvalMetrics>>>,
     engine: ExecEngine,
     precise_outputs: Arc<Vec<f64>>,
     precise_power: f64,
@@ -159,7 +160,7 @@ impl EvalContext {
             mask: VarMask::none(&self.prepared.program),
             compiled: None,
             ctx: self.clone(),
-            cache: HashMap::new(),
+            cache: WordHashMap::default(),
             hits: 0,
             shared_hits: 0,
             executions: 0,
@@ -237,7 +238,9 @@ impl EvalContext {
 #[derive(Debug)]
 pub struct Evaluator {
     ctx: EvalContext,
-    cache: HashMap<AxConfig, EvalMetrics>,
+    /// Process-internal design memo (word-hashed; the [`SharedCache`],
+    /// whose keys can come from loaded files, keeps std's SipHash).
+    cache: WordHashMap<AxConfig, EvalMetrics>,
     hits: u64,
     shared_hits: u64,
     executions: u64,
@@ -436,17 +439,24 @@ impl EvalBackend for Evaluator {
             self.hits += 1;
             return Ok(*m);
         }
-        if let Some((cache, scope)) = &self.ctx.shared {
-            if let Some(m) = cache.get(*scope, config) {
-                self.shared_hits += 1;
-                self.cache.insert(*config, m);
-                return Ok(m);
-            }
-        }
+        // Single flight: a design another evaluator is computing right now
+        // is waited for, not computed twice.
+        let claim = match &self.ctx.shared {
+            Some((cache, scope)) => match cache.get_or_claim(*scope, config) {
+                Lookup::Hit(m) => {
+                    self.shared_hits += 1;
+                    self.cache.insert(*config, m);
+                    return Ok(m);
+                }
+                Lookup::Claim(claim) => Some(claim),
+            },
+            None => None,
+        };
+        // On an error the claim drops unfilled and a waiter takes over.
         let metrics = self.execute(config)?;
         self.cache.insert(*config, metrics);
-        if let Some((cache, scope)) = &self.ctx.shared {
-            cache.insert(*scope, *config, metrics);
+        if let Some(claim) = claim {
+            claim.fill(metrics);
         }
         Ok(metrics)
     }

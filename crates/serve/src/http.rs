@@ -3,16 +3,22 @@
 //!
 //! One [`Request`] per connection (`Connection: close` semantics): the
 //! parser reads the request line, the headers it cares about
-//! (`Content-Length`), and exactly that many body bytes. Responses are
-//! written with an explicit `Content-Length` and the connection is
-//! dropped. Anything fancier (keep-alive, chunked encoding, TLS) is out
-//! of scope for a single-host daemon.
+//! (`Content-Length`), and exactly that many body bytes. Head and body
+//! are both capped, so no request makes the parser buffer without bound.
+//! Responses are written with an explicit `Content-Length` and the
+//! connection is dropped. Anything fancier (keep-alive, chunked encoding,
+//! TLS) is out of scope for a single-host daemon.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// Largest request body the parser will buffer (a campaign spec is a few
 /// KB; this is a generous ceiling, not a tuning knob).
 pub const MAX_BODY_BYTES: usize = 4 * 1024 * 1024;
+
+/// Largest request head (request line plus headers) the parser will read;
+/// a longer head is rejected. The control plane's requests carry a few
+/// short headers; this too is a ceiling, not a tuning knob.
+pub const MAX_HEAD_BYTES: usize = 64 * 1024;
 
 /// One parsed HTTP request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,11 +39,13 @@ impl Request {
     ///
     /// # Errors
     ///
-    /// Fails on malformed request lines, non-numeric or oversized
-    /// `Content-Length`, or an underlying I/O error.
+    /// Fails on malformed request lines, a head longer than
+    /// [`MAX_HEAD_BYTES`], non-numeric or oversized `Content-Length`, or an
+    /// underlying I/O error.
     pub fn read_from(stream: &mut impl BufRead) -> io::Result<Option<Request>> {
+        let mut head = (&mut *stream).take(MAX_HEAD_BYTES as u64);
         let mut line = String::new();
-        if stream.read_line(&mut line)? == 0 {
+        if read_head_line(&mut head, &mut line)? == 0 {
             return Ok(None);
         }
         let mut parts = line.split_whitespace();
@@ -58,7 +66,7 @@ impl Request {
         let mut content_length = 0usize;
         loop {
             let mut header = String::new();
-            if stream.read_line(&mut header)? == 0 {
+            if read_head_line(&mut head, &mut header)? == 0 {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
                     "connection closed inside headers",
@@ -103,6 +111,19 @@ impl Request {
             .find(|(k, _)| *k == key)
             .map(|(_, v)| v)
     }
+}
+
+/// `read_line` within the head's byte budget: a line the budget cuts off
+/// is an error, never a short line.
+fn read_head_line<R: BufRead>(head: &mut io::Take<R>, line: &mut String) -> io::Result<usize> {
+    let n = head.read_line(line)?;
+    if head.limit() == 0 && !line.ends_with('\n') {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("request head exceeds {MAX_HEAD_BYTES} bytes"),
+        ));
+    }
+    Ok(n)
 }
 
 /// One HTTP response, written with `Content-Length` and
@@ -157,6 +178,7 @@ impl Response {
             400 => "Bad Request",
             404 => "Not Found",
             405 => "Method Not Allowed",
+            408 => "Request Timeout",
             409 => "Conflict",
             500 => "Internal Server Error",
             _ => "",
@@ -219,6 +241,25 @@ mod tests {
         // A truncated body is an error, not a short read.
         let short = b"POST /x HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc";
         assert!(Request::read_from(&mut Cursor::new(&short[..])).is_err());
+    }
+
+    #[test]
+    fn rejects_heads_past_the_cap() {
+        let long_line = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(MAX_HEAD_BYTES));
+        let err = Request::read_from(&mut Cursor::new(long_line.as_bytes())).unwrap_err();
+        assert!(err.to_string().contains("request head exceeds"), "{err}");
+        // Many short headers count against the same budget.
+        let many = format!(
+            "GET / HTTP/1.1\r\n{}\r\n",
+            "X-Pad: 0123456789\r\n".repeat(5_000)
+        );
+        assert!(Request::read_from(&mut Cursor::new(many.as_bytes())).is_err());
+        // A head just under the cap still parses.
+        let pad = "a".repeat(MAX_HEAD_BYTES - 64);
+        let fits = format!("GET /healthz HTTP/1.1\r\nX-Pad: {pad}\r\n\r\n");
+        assert!(Request::read_from(&mut Cursor::new(fits.as_bytes()))
+            .unwrap()
+            .is_some());
     }
 
     #[test]

@@ -3,7 +3,11 @@
 //! [`ModelPool`], with one worker thread per submitted job.
 //!
 //! Concurrency model: request handling is short (parse + bookkeeping) and
-//! runs inline on the accept loop; the actual campaigns run on dedicated
+//! runs inline on the accept loop. Every accepted connection gets fixed
+//! read and write timeouts ([`IO_TIMEOUT`]) and a capped request head
+//! ([`crate::http::MAX_HEAD_BYTES`]), so a client that connects and goes
+//! silent holds the loop for at most one timeout (it gets a 408) instead
+//! of forever. The actual campaigns run on dedicated
 //! job threads that block in [`GlobalScheduler::acquire`] until the
 //! scheduler admits them (at most `workers` at a time, priority first,
 //! preemption via each job's `CampaignControl`). `POST /shutdown` cancels
@@ -18,11 +22,17 @@ use ax_dse::json::Json;
 use ax_surrogate::pool::ModelPool;
 use ax_surrogate::{run_spec_with, RunSpecOptions};
 use std::collections::HashMap;
-use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufReader, Read};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+
+/// Read and write timeout of every accepted connection: how long one
+/// stalled client can hold the accept loop. Fixed, not a tuning knob: a
+/// control-plane request is a few KB, written at once.
+pub const IO_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Everything `repro serve` can configure.
 #[derive(Debug, Clone)]
@@ -162,6 +172,13 @@ impl Server {
 }
 
 fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) {
+    if let Err(e) = stream
+        .set_read_timeout(Some(IO_TIMEOUT))
+        .and_then(|()| stream.set_write_timeout(Some(IO_TIMEOUT)))
+    {
+        eprintln!("serve: cannot set socket timeouts: {e}");
+        return;
+    }
     let mut reader = BufReader::new(match stream.try_clone() {
         Ok(s) => s,
         Err(e) => {
@@ -169,14 +186,34 @@ fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) {
             return;
         }
     });
-    let response = match Request::read_from(&mut reader) {
-        Ok(Some(request)) => route(state, &request),
+    let (response, refused) = match Request::read_from(&mut reader) {
+        Ok(Some(request)) => (route(state, &request), false),
         Ok(None) => return,
-        Err(e) => Response::error(400, &format!("bad request: {e}")),
+        // The platform reports an expired read timeout as either kind.
+        Err(e)
+            if matches!(
+                e.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+            ) =>
+        {
+            (Response::error(408, "request timed out"), false)
+        }
+        Err(e) => (Response::error(400, &format!("bad request: {e}")), true),
     };
     let mut stream = stream;
     if let Err(e) = response.write_to(&mut stream) {
         eprintln!("serve: cannot write response: {e}");
+        return;
+    }
+    if refused {
+        // The client may still be sending the request the parser refused
+        // (say, an oversized head). Closing on unread input resets the
+        // connection, which can destroy the response before the client
+        // reads it: half-close, then discard input for one timeout at most.
+        let _ = stream.shutdown(Shutdown::Write);
+        let deadline = Instant::now() + IO_TIMEOUT;
+        let mut sink = [0u8; 8192];
+        while Instant::now() < deadline && matches!(reader.read(&mut sink), Ok(n) if n > 0) {}
     }
 }
 

@@ -1,7 +1,8 @@
 //! End-to-end daemon tests over a real ephemeral-port listener: report
 //! byte-parity with local runs, concurrent submission over one shared
-//! cache, cooperative cancellation with budget accounting, and the
-//! server-wide budget ceiling.
+//! cache, cooperative cancellation with budget accounting, the
+//! server-wide budget ceiling, and robustness against silent or oversized
+//! requests.
 
 use ax_dse::campaign::{
     BackendSpec, BenchmarkSpec, ExperimentSpec, NullObserver, SeedRange, SurrogateSettings,
@@ -9,6 +10,7 @@ use ax_dse::campaign::{
 use ax_dse::explore::{AgentKind, ExploreOptions};
 use ax_dse::json::Json;
 use ax_operators::OperatorLibrary;
+use ax_serve::server::IO_TIMEOUT;
 use ax_serve::{ServeConfig, Server};
 use ax_surrogate::run_spec;
 use std::io::{Read, Write};
@@ -299,5 +301,67 @@ fn bad_requests_get_json_errors() {
     assert!(Json::parse(&body).unwrap().get("error").is_some());
     let (status, body) = request(addr, "GET", "/healthz", "");
     assert_eq!((status, body.as_str()), (200, "{\"ok\": true}"));
+    shutdown(addr, handle);
+}
+
+#[test]
+fn a_silent_connection_does_not_stall_the_daemon() {
+    let (addr, handle) = boot(ServeConfig::default());
+    // Connects first and never sends a byte; held open throughout.
+    let mut silent = TcpStream::connect(addr).expect("connect silent client");
+    let margin = Duration::from_secs(5);
+    let started = Instant::now();
+    let mut probe = TcpStream::connect(addr).expect("connect probe");
+    probe
+        .set_read_timeout(Some(IO_TIMEOUT + margin))
+        .expect("set probe timeout");
+    probe
+        .write_all(b"GET /healthz HTTP/1.1\r\n\r\n")
+        .expect("write probe");
+    let mut raw = String::new();
+    probe
+        .read_to_string(&mut raw)
+        .expect("/healthz answers while the silent connection stays open");
+    assert!(raw.starts_with("HTTP/1.1 200"), "{raw}");
+    assert!(started.elapsed() < IO_TIMEOUT + margin);
+    // The silent client itself was told its request timed out.
+    silent
+        .set_read_timeout(Some(IO_TIMEOUT + margin))
+        .expect("set silent timeout");
+    let mut raw = String::new();
+    silent
+        .read_to_string(&mut raw)
+        .expect("the silent client gets an answer");
+    assert!(raw.starts_with("HTTP/1.1 408"), "{raw}");
+    shutdown(addr, handle);
+}
+
+#[test]
+fn an_oversized_request_head_gets_400() {
+    let (addr, handle) = boot(ServeConfig::default());
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(IO_TIMEOUT + Duration::from_secs(5)))
+        .expect("set timeout");
+    // The daemon stops reading at its head cap and answers; it may then
+    // refuse the rest of the megabyte, so a thread writes it and ignores
+    // the error.
+    let mut writer = stream.try_clone().expect("clone stream");
+    let pusher = std::thread::spawn(move || {
+        let head = format!(
+            "GET /healthz HTTP/1.1\r\nX-Big: {}\r\n\r\n",
+            "a".repeat(1 << 20)
+        );
+        let _ = writer.write_all(head.as_bytes());
+    });
+    let mut raw = Vec::new();
+    stream.read_to_end(&mut raw).expect("read the response");
+    pusher.join().expect("writer thread");
+    drop(stream);
+    let raw = String::from_utf8_lossy(&raw);
+    assert!(raw.starts_with("HTTP/1.1 400"), "{raw}");
+    assert!(raw.contains("request head exceeds"), "{raw}");
+    let (status, _) = request(addr, "GET", "/healthz", "");
+    assert_eq!(status, 200, "the daemon keeps serving");
     shutdown(addr, handle);
 }
